@@ -22,7 +22,6 @@ import _bootstrap  # noqa: F401  (sys.path for repo checkouts)
 from repro.analysis.tables import format_table
 from repro.campaign import CampaignSpec, DEMO_WORKLOAD, Outcome, \
     detection_stats, run_campaign
-from repro.security.faults import BitFlipOutcome, run_bitflip_campaign
 
 WORKLOAD = """
     main:
@@ -41,18 +40,23 @@ WORKLOAD = """
 """
 
 
+def bitflip_campaign(injections, bits, protected, seed):
+    """Flip *bits* bits of one checked instruction per injection."""
+    spec = CampaignSpec(source=WORKLOAD, model="instr-flip",
+                        model_options={"bits": bits}, protected=protected,
+                        injections=injections, seed=seed,
+                        max_cycles=200_000, result_regs=(16,))
+    return run_campaign(spec)
+
+
 def main():
     campaigns = {}
     for protected in (True, False):
-        campaigns[protected] = run_bitflip_campaign(
-            WORKLOAD, injections=40, bits_per_injection=1,
-            with_icm=protected, seed=2026, max_cycles=200_000)
-    multi = run_bitflip_campaign(WORKLOAD, injections=20,
-                                 bits_per_injection=3, with_icm=True,
-                                 seed=77, max_cycles=200_000)
+        campaigns[protected] = bitflip_campaign(40, 1, protected, 2026)
+    multi = bitflip_campaign(20, 3, True, 77)
 
     rows = []
-    for outcome in BitFlipOutcome:
+    for outcome in Outcome:
         rows.append([
             outcome.value,
             campaigns[True].count(outcome),
@@ -68,14 +72,15 @@ def main():
           % (100 * campaigns[True].detection_rate))
     print("ICM detection rate, triple-bit: %.0f%%"
           % (100 * multi.detection_rate))
-    damage = (campaigns[False].count(BitFlipOutcome.FAULTED)
-              + campaigns[False].count(BitFlipOutcome.CORRUPTED)
-              + campaigns[False].count(BitFlipOutcome.HUNG))
+    damage = sum(campaigns[False].count(outcome)
+                 for outcome in (Outcome.FAULTED, Outcome.CRASHED,
+                                 Outcome.CORRUPTED, Outcome.HUNG))
     print("unprotected runs damaged:       %d / %d"
-          % (damage, len(campaigns[False].runs)))
+          % (damage, len(campaigns[False].records)))
 
     assert campaigns[True].detection_rate == 1.0
     assert multi.detection_rate == 1.0
+    assert damage > 0
 
     # Beyond the ICM's coverage: strike the register file and live data
     # memory mid-execution — the errors other RSE modules (and the

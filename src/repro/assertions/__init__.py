@@ -2,10 +2,11 @@
 
 One declarative property catalog (:mod:`repro.assertions.properties`),
 written against engine-neutral events, compiled by per-engine adapters
-(:mod:`repro.assertions.adapters`) onto the same attach-time
-method-shadowing probe points ``repro.obs`` uses — so the identical
-assertion runs on the reference interpreter, the predecode engine and
-the out-of-order pipeline.  Entry points:
+(:mod:`repro.assertions.adapters`) onto each engine's observation
+points — the pipeline's event ports, the interpreter's predeclared
+``step``/``run``/``trace_mem`` — so the identical assertion runs on the
+reference interpreter, the predecode engine and the out-of-order
+pipeline.  Entry points:
 
 * ``Machine.assertions`` — the per-machine hub
   (:class:`~repro.assertions.hub.AssertionHub`);

@@ -1,20 +1,14 @@
 """Engine adapters: compile the neutral events onto each engine.
 
-The pipeline adapter uses the same attach-time method shadowing as
-:mod:`repro.obs.probes` — an instance attribute wins the lookup over
-the class method, so a detached machine runs the bare class methods
-with literally zero residual dispatch cost.  Unlike obs probes, an
-adapter's :class:`ShadowSet` also remembers what it displaced, so
-shadows *chain* over an already-instrumented method (e.g. an obs RSE
-probe) and can be temporarily **suspended**: the whole-machine
-checkpoint layer learns per-class field names from instance
-``__dict__``s, and capturing a shadowed pipeline would teach it
-wrapper closures as machine state (see
-:meth:`repro.assertions.hub.AssertionHub`).
+The pipeline adapter subscribes to the pipeline's event ports
+(:class:`repro.pipeline.core.Ports`); detaching unsubscribes, leaving
+the port table as it was.  The table is wiring, not machine state, so
+checkpoints taken while an adapter is attached capture exactly what a
+bare machine would.
 
-The funcsim adapter deliberately does NOT shadow — see
-:class:`FuncSimAdapter` for why the interpreter's instance dict must
-keep its key-sharing layout.
+The funcsim adapter swaps values of attributes the interpreter
+predeclares — see :class:`FuncSimAdapter` for why the interpreter's
+instance dict must keep its key-sharing layout.
 """
 
 from repro.funcsim.interp import StepResult
@@ -25,43 +19,6 @@ from repro.memory.mainmem import PAGE_SHIFT, MemoryFault
 from repro.pipeline.core import S_WAIT
 
 MASK32 = 0xFFFFFFFF
-
-
-class ShadowSet:
-    """Instance-attribute shadows that chain, suspend and restore."""
-
-    def __init__(self):
-        self._records = []          # (obj, attr, wrapper, had, displaced)
-        self._suspended = False
-
-    def shadow(self, obj, attr, wrapper):
-        had = attr in obj.__dict__
-        displaced = obj.__dict__.get(attr)
-        self._records.append((obj, attr, wrapper, had, displaced))
-        setattr(obj, attr, wrapper)
-
-    def suspend(self):
-        """Put every displaced value back (keep the records for resume)."""
-        if self._suspended:
-            return
-        for obj, attr, wrapper, had, displaced in reversed(self._records):
-            if had:
-                setattr(obj, attr, displaced)
-            else:
-                delattr(obj, attr)
-        self._suspended = True
-
-    def resume(self):
-        if not self._suspended:
-            return
-        for obj, attr, wrapper, __, ___ in self._records:
-            setattr(obj, attr, wrapper)
-        self._suspended = False
-
-    def remove(self):
-        self.suspend()
-        self._records.clear()
-        self._suspended = False
 
 
 # ---------------------------------------------------------------- funcsim
@@ -79,8 +36,8 @@ class FuncSimAdapter:
     the reference ``_execute`` path and the predecode closures call —
     the adapter chains it, preserving any user hook.
 
-    Unlike the pipeline adapter, this one must NOT install a
-    :class:`ShadowSet`: adding (and later deleting) keys on the sim's
+    This adapter must NOT shadow methods with new instance attributes:
+    adding (and later deleting) keys on the sim's
     ``__dict__`` converts CPython's key-sharing instance dict into a
     combined one, and every ``self.x`` load in the interpreter hot loop
     then pays for it *forever* — ~10% on kMeans even after detach
@@ -219,67 +176,30 @@ def attach_funcsim(sim, properties=None, metrics=None, monitor=None):
 
 # --------------------------------------------------------------- pipeline
 
-class _NullTap:
-    """A do-nothing RSE stand-in for bare pipelines.
-
-    Installing it lets the adapter shadow the dispatch/commit attachment
-    points on machines built without the framework; every hook answers
-    exactly as ``rse=None`` behaves (gate passes, no stalls, no
-    barriers), so it is architecturally invisible.
-    """
-
-    def on_dispatch(self, uop, cycle):
-        pass
-
-    def on_operands(self, uop, cycle, values):
-        pass
-
-    def on_execute(self, uop, cycle):
-        pass
-
-    def on_mem_load(self, uop, cycle, value):
-        pass
-
-    def on_commit(self, uop, cycle):
-        pass
-
-    def on_squash(self, uops, cycle):
-        pass
-
-    def step(self, cycle):
-        pass
-
-    def ioq_gate(self, uop, cycle):
-        return None
-
-    def pre_commit_store(self, uop, cycle):
-        return 0
-
-    def check_blocks_loads(self, instr):
-        return False
-
-
 class PipelineAdapter:
     """Feed a monitor from the out-of-order core's commit stream.
 
-    Events come from the RSE attachment points (retirement order is the
-    architectural story): ``on_commit`` yields retire/store/jump,
-    ``on_dispatch``/``ioq_gate`` yield the IOQ lifecycle, and the load
-    issue path yields disambiguation decisions.  ``resume``/``reset_at``
-    are platform redirects (kernel context switches, fault handling).
+    Events come from the pipeline's event ports (retirement order is the
+    architectural story): ``commit`` yields retire/store/jump,
+    ``dispatch``/``gate`` yield the IOQ lifecycle, and ``load`` yields
+    disambiguation decisions.  ``redirect`` carries platform redirects
+    (kernel context switches, fault handling).  The adapter subscribes
+    after the RSE, so it sees each event once the RSE has acted on it.
     """
 
     def __init__(self, pipeline, monitor):
         self.pipeline = pipeline
         self.monitor = monitor
-        self.shadows = ShadowSet()
-        self._owns_tap = False
+        self._subscriptions = []          # (event, handler)
         monitor.clock = lambda: pipeline.cycle
+
+    def _subscribe(self, event, handler):
+        self.pipeline.ports.subscribe(event, handler)
+        self._subscriptions.append((event, handler))
 
     def attach(self):
         pipeline = self.pipeline
         monitor = self.monitor
-        shadows = self.shadows
         retire_handlers = monitor.handlers("retire")
         store_handlers = monitor.handlers("store")
         jump_handlers = monitor.handlers("jump")
@@ -287,17 +207,10 @@ class PipelineAdapter:
         redirect_handlers = monitor.handlers("redirect")
         alloc_handlers = monitor.handlers("ioq_alloc")
         gate_handlers = monitor.handlers("ioq_gate")
-
-        if pipeline.rse is None:
-            shadows.shadow(pipeline, "rse", _NullTap())
-            self._owns_tap = True
         rse = pipeline.rse
         memory = pipeline.memory
 
-        orig_commit = rse.on_commit
-
         def on_commit(uop, cycle):
-            orig_commit(uop, cycle)
             instr = uop.instr
             pc = uop.pc
             if instr.serializing:
@@ -321,77 +234,47 @@ class PipelineAdapter:
                             None, uop.actual_next,
                             instr.name in ("jr", "jalr"), written)
 
-        shadows.shadow(rse, "on_commit", on_commit)
+        self._subscribe("commit", on_commit)
 
         if forward_handlers:
-            orig_load = pipeline._try_issue_load
+            def on_load(uop, index, cycle):
+                stores = [(older.eff_addr, older.mem_size)
+                          for older in pipeline.rob[:index]
+                          if older.instr.is_store
+                          and older.state != S_WAIT
+                          and older.eff_addr is not None]
+                for handler in forward_handlers:
+                    handler(uop.pc, uop.eff_addr, uop.mem_size,
+                            uop.forwarded, stores)
 
-            def try_issue_load(uop, index, cycle):
-                issued = orig_load(uop, index, cycle)
-                if issued and uop.fault is None:
-                    stores = [(older.eff_addr, older.mem_size)
-                              for older in pipeline.rob[:index]
-                              if older.instr.is_store
-                              and older.state != S_WAIT
-                              and older.eff_addr is not None]
-                    for handler in forward_handlers:
-                        handler(uop.pc, uop.eff_addr, uop.mem_size,
-                                uop.forwarded, stores)
-                return issued
+            self._subscribe("load", on_load)
 
-            shadows.shadow(pipeline, "_try_issue_load", try_issue_load)
+        for handler in redirect_handlers:
+            self._subscribe("redirect", handler)
 
-        if redirect_handlers:
-            orig_resume = pipeline.resume
-            orig_reset = pipeline.reset_at
-
-            def resume(pc):
-                orig_resume(pc)
-                for handler in redirect_handlers:
-                    handler(pc & MASK32)
-
-            def reset_at(pc, regs=None):
-                orig_reset(pc, regs)
-                for handler in redirect_handlers:
-                    handler(pc & MASK32)
-
-            shadows.shadow(pipeline, "resume", resume)
-            shadows.shadow(pipeline, "reset_at", reset_at)
-
-        ioq = getattr(rse, "ioq", None)
-        if ioq is not None and (alloc_handlers or gate_handlers):
+        if rse is not None:
+            ioq = rse.ioq
             if alloc_handlers:
-                orig_dispatch = rse.on_dispatch
-
                 def on_dispatch(uop, cycle):
-                    orig_dispatch(uop, cycle)
                     entry = ioq.get(uop.seq)
                     if entry is not None:
                         for handler in alloc_handlers:
                             handler(entry, uop.instr.is_check)
 
-                shadows.shadow(rse, "on_dispatch", on_dispatch)
+                self._subscribe("dispatch", on_dispatch)
             if gate_handlers:
-                orig_gate = rse.ioq_gate
-
-                def ioq_gate(uop, cycle):
-                    verdict = orig_gate(uop, cycle)
+                def on_gate(uop, cycle, verdict):
                     entry = ioq.get(uop.seq)
                     for handler in gate_handlers:
                         handler(entry, verdict, rse.safe_mode)
-                    return verdict
 
-                shadows.shadow(rse, "ioq_gate", ioq_gate)
-
-    def suspend(self):
-        self.shadows.suspend()
-
-    def resume_shadows(self):
-        self.shadows.resume()
+                self._subscribe("gate", on_gate)
 
     def detach(self):
-        self.shadows.remove()
-        self._owns_tap = False
+        ports = self.pipeline.ports
+        for event, handler in self._subscriptions:
+            ports.unsubscribe(event, handler)
+        self._subscriptions = []
         self.monitor.finish(self.pipeline.memory)
 
 

@@ -1,26 +1,20 @@
 """``Machine.assertions`` — the per-machine assertion hub.
 
-Mirrors ``Machine.obs``: strictly opt-in, attach-time method shadowing,
-zero residual cost when never attached.  Attaching instruments the
-machine's pipeline (and RSE, when present) with a pipeline-engine
-:class:`~repro.assertions.monitor.AssertionMonitor`, mirrors
-per-property counters into the obs metrics registry
-(``assertions.<id>``), and contributes an ``assertions`` section to
-``Machine.snapshot()`` carrying the violation records.
+Mirrors ``Machine.obs``: strictly opt-in, zero residual cost when never
+attached.  Attaching subscribes a pipeline-engine
+:class:`~repro.assertions.monitor.AssertionMonitor` to the pipeline's
+event ports, mirrors per-property counters into the obs metrics
+registry (``assertions.<id>``), and contributes an ``assertions``
+section to ``Machine.snapshot()`` carrying the violation records.
 
-Checkpoint interplay: the whole-machine checkpoint layer learns each
-class's field names from the first instance it captures
-(:data:`repro.checkpoint._FIELD_NAMES`), so capturing a pipeline that
-carries shadow wrappers would teach it the wrappers as machine state —
-and deepcopying their closures would drag the live monitor into the
-checkpoint.  The hub therefore shadows ``machine.checkpoint`` to
-*suspend* the engine-level shadows around the capture (the captured
-state is exactly what a bare machine would capture) and emits the
+Checkpoint interplay: the port table is wiring, not machine state, so
+a capture taken while monitoring equals a bare machine's.  The hub
+shadows ``machine.checkpoint``/``machine.restore`` only to emit the
 ``checkpoint``/``restore`` events the MAU-quiesce and page-version
 properties consume.
 """
 
-from repro.assertions.adapters import PipelineAdapter, ShadowSet
+from repro.assertions.adapters import PipelineAdapter
 from repro.assertions.monitor import AssertionMonitor
 from repro.checkpoint import CheckpointError, _pending_requests
 
@@ -40,7 +34,6 @@ class AssertionHub:
         self.machine = machine
         self.monitor = None          # survives detach: snapshot keeps results
         self._adapter = None
-        self._machine_shadows = None
 
     # -------------------------------------------------------------- attach
 
@@ -56,7 +49,6 @@ class AssertionHub:
                                    metrics=machine.obs.metrics)
         adapter = PipelineAdapter(machine.pipeline, monitor)
         adapter.attach()
-        shadows = ShadowSet()
         checkpoint_handlers = monitor.handlers("checkpoint")
         restore_handlers = monitor.handlers("restore")
         redirect_handlers = monitor.handlers("redirect")
@@ -66,15 +58,12 @@ class AssertionHub:
 
         def checkpoint():
             pending = _pending_callbacks(machine.rse)
-            adapter.suspend()
             try:
                 captured = orig_checkpoint()
             except CheckpointError:
                 for handler in checkpoint_handlers:
                     handler(False, pending)
                 raise
-            finally:
-                adapter.resume_shadows()
             for handler in checkpoint_handlers:
                 handler(True, pending)
             return captured
@@ -88,20 +77,19 @@ class AssertionHub:
                 handler(machine.pipeline.fetch_pc)
             return result
 
-        shadows.shadow(machine, "checkpoint", checkpoint)
-        shadows.shadow(machine, "restore", restore)
+        machine.checkpoint = checkpoint
+        machine.restore = restore
 
         self.monitor = monitor
         self._adapter = adapter
-        self._machine_shadows = shadows
         return monitor
 
     def detach(self):
         """Stop monitoring (runs the final sweeps); results stay readable."""
         if self._adapter is None:
             return
-        self._machine_shadows.remove()
-        self._machine_shadows = None
+        del self.machine.checkpoint
+        del self.machine.restore
         adapter, self._adapter = self._adapter, None
         adapter.detach()
 

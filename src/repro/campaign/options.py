@@ -13,8 +13,6 @@ Those details used to accrete one keyword argument at a time on
 consolidates them into one frozen dataclass so the canonical signature
 is ``run_campaign(spec, options=ExecutionOptions(...))`` and the CLI,
 the service and the benchmarks all build the same object in one place.
-The old kwargs still work behind a ``DeprecationWarning`` shim in
-``run_campaign``.
 """
 
 import dataclasses

@@ -1,7 +1,7 @@
 """Parallel, resumable campaign execution.
 
-The engine fixes the two structural costs of the original serial loop in
-``repro.security.faults``:
+The engine fixes the two structural costs of a serial loop that
+rebuilds everything per injection:
 
 * the workload is **assembled once per campaign** (once per worker
   process in parallel mode), not once per injection — only the cheap
@@ -32,7 +32,6 @@ for the remaining work.
 
 import hashlib
 import json
-import warnings
 
 from repro.campaign.models import Injection, Outcome, get_model
 from repro.campaign.options import ExecutionOptions
@@ -545,38 +544,13 @@ def _parallel_dispatch(spec, todo, chunk_size, workers, emit, fork=False,
 
 # ------------------------------------------------------------------- campaign
 
-#: Legacy run_campaign keyword -> ExecutionOptions field.
-_LEGACY_KWARGS = {"workers": "workers", "chunk_size": "chunk_size",
-                  "store_path": "store", "fork": "fork", "batch": "batch"}
-
-
-def _coerce_options(options, legacy):
-    """Resolve the options object from the new or the deprecated shape."""
-    if legacy:
-        unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-        if unknown:
-            raise TypeError("run_campaign() got unexpected keyword "
-                            "argument(s): %s" % ", ".join(unknown))
-        if options is not None:
-            raise TypeError("pass either options=ExecutionOptions(...) or "
-                            "the legacy keyword arguments, not both")
-        warnings.warn(
-            "run_campaign(spec, %s=...) is deprecated; pass "
-            "options=ExecutionOptions(...) instead"
-            % ", ".join(sorted(legacy)),
-            DeprecationWarning, stacklevel=3)
-        return ExecutionOptions(**{_LEGACY_KWARGS[key]: value
-                                   for key, value in legacy.items()})
-    return options if options is not None else ExecutionOptions()
-
-
 def _full_coverage(spec, records):
     """True when *records* already hold every id the spec defines."""
     done = {record["id"] for record in records}
     return set(range(spec.injections)) <= done
 
 
-def run_campaign(spec, options=None, progress=None, **legacy):
+def run_campaign(spec, options=None, progress=None):
     """Execute (or resume) a campaign; returns a :class:`CampaignRun`.
 
     Args:
@@ -588,12 +562,9 @@ def run_campaign(spec, options=None, progress=None, **legacy):
             through the sharded campaign service.
         progress: optional ``callback(done, total)`` fired as records
             land (including records recovered from the store).
-
-    The pre-redesign keyword arguments (``workers``, ``chunk_size``,
-    ``store_path``, ``fork``, ``batch``) are still accepted and mapped
-    onto an :class:`ExecutionOptions`, with a :class:`DeprecationWarning`.
     """
-    options = _coerce_options(options, legacy)
+    if options is None:
+        options = ExecutionOptions()
     if options.shards:
         from repro.campaign.service import run_service
 

@@ -108,8 +108,8 @@ class CheckpointError(RuntimeError):
 #: Per-component fields that are wiring or derived caches, not mutable
 #: machine state: left untouched by restore.
 _PIPELINE_SKIP = frozenset((
-    "memory", "hierarchy", "config", "rse", "check_injector", "mem_check",
-    "_predecode",
+    "memory", "hierarchy", "config", "rse", "ports", "check_injector",
+    "mem_check", "_predecode",
 ))
 _ENGINE_SKIP = frozenset((
     "memory", "hierarchy", "kernel", "queues", "ioq", "mau", "selfcheck",

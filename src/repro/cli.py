@@ -784,7 +784,7 @@ def _cmd_disasm(args):
 
 
 def _cmd_trace(args):
-    from repro.analysis.tracing import trace_functional
+    from repro.obs.tracer import trace_functional
     from repro.isa.assembler import assemble
     from repro.memory.mainmem import MainMemory
     from repro.workloads.asmlib import std_constants

@@ -56,45 +56,6 @@ DEFAULT_MAX_STEPS = 400_000
 CYCLES_PER_STEP = 16
 
 
-class CommitRecorder:
-    """A no-op RSE whose only job is recording the pipeline commit stream."""
-
-    def __init__(self):
-        self.stream = []
-
-    def on_commit(self, uop, cycle):
-        self.stream.append(uop.pc)
-
-    # The pipeline consults these hooks when an RSE is attached; return
-    # the "proceed" answer for each so behaviour matches rse=None.
-    def on_dispatch(self, uop, cycle):
-        pass
-
-    def on_operands(self, uop, cycle, values):
-        pass
-
-    def on_execute(self, uop, cycle):
-        pass
-
-    def on_mem_load(self, uop, cycle, value):
-        pass
-
-    def on_squash(self, uops, cycle):
-        pass
-
-    def step(self, cycle):
-        pass
-
-    def ioq_gate(self, uop, cycle):
-        return None
-
-    def pre_commit_store(self, uop, cycle):
-        return 0
-
-    def check_blocks_loads(self, instr):
-        return False
-
-
 class EngineRun:
     """Outcome of one engine executing one program."""
 
@@ -248,9 +209,11 @@ def _run_funcsim(engine, asm, max_steps, assertions=False):
 
 def _run_pipeline(asm, max_steps, assertions=False):
     mem = _fresh_memory(asm)
-    recorder = CommitRecorder()
     pipeline = Pipeline(mem, MemoryHierarchy(BASELINE_TIMING),
-                        config=PipelineConfig(), rse=recorder)
+                        config=PipelineConfig())
+    stream = []
+    pipeline.ports.subscribe("commit",
+                             lambda uop, cycle: stream.append(uop.pc))
     adapter = attach_pipeline(pipeline) if assertions else None
     pipeline.reset_at(asm.entry)
     pipeline.regs[29] = STACK_TOP
@@ -270,7 +233,7 @@ def _run_pipeline(asm, max_steps, assertions=False):
         stop = kind.value
     fault_pc = event.pc if stop == "fault" else None
     cause = event.cause if stop == "fault" else None
-    return EngineRun("pipeline", recorder.stream, list(pipeline.regs),
+    return EngineRun("pipeline", stream, list(pipeline.regs),
                      pipeline.stats.instret, stop, fault_pc,
                      classify_cause(cause), mem, violations=violations)
 

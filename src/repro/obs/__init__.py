@@ -10,8 +10,9 @@ One unified stats/trace API over every simulated component:
   probes (IOQ occupancy, bus MAU-wait distribution, CHECK-to-commit
   latency, ...);
 * :class:`CycleTracer` — a bounded cycle-event ring with JSONL export;
-* probes (:data:`PROBES`) — opt-in instrumentation that is zero-cost
-  when detached (attach-time method shadowing, no per-event guards).
+* probes (:data:`PROBES`) — opt-in instrumentation that leaves nothing
+  behind when detached (pipeline port subscriptions and attach-time
+  method shadowing, no per-event guards).
 """
 
 from repro.obs.hub import SCHEMA, Observability

@@ -13,9 +13,9 @@ surface:
   also fed by probes, exported with :meth:`export_jsonl`.
 
 Probes are strictly opt-in: ``obs.attach("fetch_stall")`` instruments
-the machine (see :mod:`repro.obs.probes` for the attach-time shadowing
-that makes detached probes literally free), ``obs.detach()`` removes
-every trace of them.
+the machine (see :mod:`repro.obs.probes` for the port subscriptions
+and attach-time shadowing that leave detached probes nothing to run),
+``obs.detach()`` removes every trace of them.
 """
 
 from repro.obs.metrics import MetricsRegistry

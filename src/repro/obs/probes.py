@@ -1,13 +1,14 @@
 """Pluggable machine probes — zero-cost when detached.
 
-A probe instruments a component by **shadowing** one of its bound
-methods with a wrapping closure stored as an *instance attribute*
-(instance attributes win the lookup over class methods).  Detaching
-deletes the instance attribute, restoring the class method.  The
-consequence is the property ISSUE 3 demands: with no probe attached
-there is not a single extra branch, flag test or indirection anywhere
-in the simulation hot paths — the guard happens once, at attach time,
-not per event.
+A probe observes pipeline events by **subscribing** to the pipeline's
+event ports (:class:`repro.pipeline.core.Ports`), and instruments other
+components by **shadowing** one of their bound methods with a wrapping
+closure stored as an *instance attribute* (instance attributes win the
+lookup over class methods).  Detaching unsubscribes and deletes the
+instance attributes, restoring the class methods.  With no probe
+attached there is not a single extra branch, flag test or indirection
+anywhere in the simulation hot paths beyond the empty port loops — the
+guard happens once, at attach time, not per event.
 
 Available probes (``PROBES`` registry, used by
 ``machine.obs.attach(name)``):
@@ -30,12 +31,13 @@ from repro.obs.tracer import CommitTracer
 
 
 class Probe:
-    """Base class: bookkeeping for attach-time method shadowing."""
+    """Base class: bookkeeping for attach-time shadows and subscriptions."""
 
     name = None
 
     def __init__(self):
         self._shadowed = []
+        self._subscribed = []
 
     def attach(self, machine, obs):
         raise NotImplementedError
@@ -44,6 +46,14 @@ class Probe:
         for obj, attr in self._shadowed:
             obj.__dict__.pop(attr, None)
         self._shadowed = []
+        for event, handler in self._subscribed:
+            machine.pipeline.ports.unsubscribe(event, handler)
+        self._subscribed = []
+
+    def _subscribe(self, machine, event, handler):
+        """Subscribe *handler* to a pipeline port for the probe's lifetime."""
+        machine.pipeline.ports.subscribe(event, handler)
+        self._subscribed.append((event, handler))
 
     def _shadow(self, obj, attr, wrapper):
         """Install *wrapper* over ``obj.attr`` for the lifetime of the probe."""
@@ -145,8 +155,6 @@ class RSEProbe(Probe):
         rse = machine.rse
         if rse is None:
             raise ValueError("the 'rse' probe needs a machine with the RSE")
-        orig_dispatch = rse.on_dispatch
-        orig_commit = rse.on_commit
         orig_error = rse.note_error_transition
         ioq = rse.ioq
         occupancy = obs.metrics.histogram("rse.ioq_occupancy",
@@ -156,12 +164,12 @@ class RSEProbe(Probe):
         emit = obs.tracer.emit
 
         def on_dispatch(uop, cycle):
-            orig_dispatch(uop, cycle)
             occupancy.observe(len(ioq))
 
-        def on_commit(uop, cycle):
-            # Read the entry before the engine frees it at commit.
-            if uop.instr.is_check:
+        def on_gate(uop, cycle, verdict):
+            # A CHECK commits in the cycle its gate answers "ok" (a CHECK
+            # never faults), while its IOQ entry is still allocated.
+            if verdict == "ok":
                 entry = ioq.get(uop.seq)
                 if entry is not None:
                     wait = cycle - entry.alloc_cycle
@@ -169,7 +177,6 @@ class RSEProbe(Probe):
                     emit(cycle, "check_commit",
                          {"pc": uop.pc, "module": uop.instr.module,
                           "latency": wait})
-            orig_commit(uop, cycle)
 
         def note_error_transition(module, entry, cycle):
             errors.inc()
@@ -177,8 +184,8 @@ class RSEProbe(Probe):
                                       "seq": entry.seq})
             orig_error(module, entry, cycle)
 
-        self._shadow(rse, "on_dispatch", on_dispatch)
-        self._shadow(rse, "on_commit", on_commit)
+        self._subscribe(machine, "dispatch", on_dispatch)
+        self._subscribe(machine, "gate", on_gate)
         self._shadow(rse, "note_error_transition", note_error_transition)
 
 

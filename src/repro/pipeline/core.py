@@ -5,15 +5,22 @@ Section 5.1): an in-order front end feeding a 16-entry ROB/RUU, wake-up
 based out-of-order issue over a fixed functional-unit mix, and in-order
 commit.  One call to :meth:`Pipeline.step` simulates one machine cycle.
 
-RSE attachment points (Figure 1 of the paper):
+The pipeline publishes its events on a port table (:class:`Ports`);
+the RSE, assertion monitors and recorders subscribe to it.  The ports
+that feed the RSE's input queues (Figure 1 of the paper):
 
-* ``Fetch_Out``     — :meth:`RSE.on_dispatch` as instructions enter the ROB
-  (the paper allocates the RSE entry "simultaneously with the instruction
+* ``Fetch_Out``     — ``dispatch`` as instructions enter the ROB (the
+  paper allocates the RSE entry "simultaneously with the instruction
   being dispatched");
-* ``Regfile_Data``  — operand values at issue (:meth:`RSE.on_operands`);
-* ``Execute_Out``   — ALU results / effective addresses at writeback;
-* ``Memory_Out``    — load values at writeback;
-* ``Commit_Out``    — committed and squashed instructions.
+* ``Regfile_Data``  — ``operands``: operand values at issue;
+* ``Execute_Out``   — ``execute``: ALU results / effective addresses at
+  writeback;
+* ``Memory_Out``    — ``mem_load``: load values at writeback;
+* ``Commit_Out``    — ``commit`` and ``squash``.
+
+The RSE's request/response calls (the CHECK commit gate, the
+pre-commit store stall, the load barrier, the per-cycle step) are not
+events: they go to ``Pipeline.rse`` directly.
 
 CHECK instructions travel the pipeline as NOPs except at commit, where
 the IOQ's ``check``/``checkValid`` bits gate retirement (Table 1): the
@@ -153,6 +160,49 @@ class PipelineStats:
         return self.instret / self.cycles if self.cycles else 0.0
 
 
+class Ports:
+    """The pipeline's event port table: one subscriber list per event.
+
+    Subscribers are called in subscription order with the event's
+    arguments:
+
+    ============  ==========================  ===========================
+    port          arguments                   emitted when
+    ============  ==========================  ===========================
+    dispatch      ``uop, cycle``              *uop* enters the ROB
+    operands      ``uop, cycle, values``      *uop* reads its operands
+    execute       ``uop, cycle``              *uop* completes writeback
+    mem_load      ``uop, cycle, value``       a load's data arrives
+    commit        ``uop, cycle``              *uop* retires
+    squash        ``uops, cycle``             *uops* are flushed
+    gate          ``uop, cycle, verdict``     the RSE answered a CHECK's
+                                              commit gate
+    load          ``uop, index, cycle``       a load at ``rob[index]``
+                                              issued without faulting
+    redirect      ``pc``                      ``resume``/``reset_at``
+    ============  ==========================  ===========================
+    """
+
+    EVENTS = ("dispatch", "operands", "execute", "mem_load", "commit",
+              "squash", "gate", "load", "redirect")
+
+    __slots__ = EVENTS
+
+    def __init__(self):
+        for event in self.EVENTS:
+            setattr(self, event, [])
+
+    def subscribe(self, event, handler):
+        getattr(self, event).append(handler)
+
+    def unsubscribe(self, event, handler):
+        getattr(self, event).remove(handler)
+
+    def idle(self):
+        """True when no port has a subscriber."""
+        return not any(getattr(self, event) for event in self.EVENTS)
+
+
 class Pipeline:
     """The out-of-order core.
 
@@ -161,8 +211,12 @@ class Pipeline:
             the kernel and RSE).
         hierarchy: :class:`~repro.memory.hierarchy.MemoryHierarchy`.
         config: :class:`~repro.pipeline.config.PipelineConfig`.
-        rse: optional RSE engine implementing the attachment interface
-            (see :mod:`repro.rse.engine`); None runs a bare machine.
+        rse: optional :class:`~repro.rse.engine.RSE`; None runs a bare
+            machine.  The RSE subscribes to the event ports here, ahead
+            of any later subscriber.
+
+    ``ports`` (:class:`Ports`) publishes the pipeline's events; the
+    table is wiring, not machine state, so checkpoints leave it alone.
 
     Hooks (set after construction when needed):
 
@@ -177,6 +231,14 @@ class Pipeline:
         self.hierarchy = hierarchy
         self.config = config or PipelineConfig()
         self.rse = rse
+        self.ports = ports = Ports()
+        if rse is not None:
+            ports.dispatch.append(rse.on_dispatch)
+            ports.operands.append(rse.on_operands)
+            ports.execute.append(rse.on_execute)
+            ports.mem_load.append(rse.on_mem_load)
+            ports.commit.append(rse.on_commit)
+            ports.squash.append(rse.on_squash)
         predictor_cls = (GsharePredictor
                          if self.config.predictor == "gshare"
                          else BranchPredictor)
@@ -233,6 +295,8 @@ class Pipeline:
         self.fetch_pc = pc & MASK32
         self.fetch_enabled = True
         self._pending_timer = False
+        for handler in self.ports.redirect:
+            handler(self.fetch_pc)
 
     def resume(self, pc):
         """Resume fetch at *pc* after an event (kernel returned control)."""
@@ -243,6 +307,8 @@ class Pipeline:
         self._pending_fetch = None
         self._held = None
         self._pending_timer = False
+        for handler in self.ports.redirect:
+            handler(self.fetch_pc)
 
     def advance_cycles(self, count):
         """Charge *count* opaque cycles (kernel handler time)."""
@@ -256,10 +322,10 @@ class Pipeline:
         :meth:`step`), runs of provably-dead stall cycles — everything
         in flight waiting on a future ``done_cycle``, a pending I-fetch,
         a freeze window or the timer — are skipped in one jump with
-        exact cycle/stat bookkeeping.  Any shadowed ``step`` (obs
-        probes, :mod:`repro.assertions`, tests poking per-cycle) deopts
-        to the one-``step()``-per-cycle loop so no observer misses a
-        cycle.
+        exact cycle/stat bookkeeping.  A shadowed ``step`` (a test
+        observing every cycle) deopts to the one-``step()``-per-cycle
+        loop so no observer misses a cycle; port subscribers see every
+        event either way.
         """
         limit = None if max_cycles is None else self.cycle + max_cycles
         if (self.config.batch
@@ -278,9 +344,9 @@ class Pipeline:
         Two levers, both cycle-exact:
 
         * While the machine is in its common state — no RSE attached, no
-          timer pending, outside any freeze window — :meth:`_run_fast`
-          runs a fused copy of the cycle loop with the per-cycle
-          re-polling of those conditions hoisted out.
+          port subscriber, no timer pending, outside any freeze window —
+          :meth:`_run_fast` runs a fused copy of the cycle loop with the
+          per-cycle re-polling of those conditions hoisted out.
         * Otherwise this reference loop steps normally but jumps over
           provably-dead stall cycles (everything in flight waiting on a
           future ``done_cycle``, a pending I-fetch, a freeze window or
@@ -288,9 +354,10 @@ class Pipeline:
           :meth:`RSE.quiescent` when an RSE is attached.
         """
         stats = self.stats
+        rse = self.rse
+        fused = rse is None and self.ports.idle()
         while True:
-            rse = self.rse
-            if (rse is None and not self._pending_timer
+            if (fused and not self._pending_timer
                     and self.cycle >= self.freeze_until):
                 stop = limit
                 deadline = self.timer_deadline
@@ -308,15 +375,8 @@ class Pipeline:
                 return event
             if limit is not None and self.cycle >= limit:
                 return PipelineEvent(EventKind.MAX_CYCLES, pc=self.fetch_pc)
-            if active:
+            if active or (rse is not None and not rse.quiescent()):
                 continue
-            if rse is not None:
-                # rse-like taps (assertion adapters, recorders) may not
-                # implement quiescent(); treat them as never quiescent
-                # so no per-cycle observation is ever skipped.
-                quiescent = getattr(rse, "quiescent", None)
-                if quiescent is None or not quiescent():
-                    continue
             # Dead cycle: no in-flight state changed and (with the RSE
             # idle) none can until one of the horizons below arrives.
             # Every intermediate step() would only repeat the same
@@ -356,20 +416,22 @@ class Pipeline:
                 # The skipped cycles' rse.step() calls were pure cycle
                 # stamps (quiescent above); replay the last one.
                 rse.step(self.cycle - 1)
+            if limit is not None and self.cycle >= limit:
+                return PipelineEvent(EventKind.MAX_CYCLES, pc=self.fetch_pc)
 
     def _run_fast(self, stop):
         """Fused cycle loop: the hot path behind :meth:`_run_batched`.
 
-        Preconditions (the caller checks them): no RSE, no pending
-        timer, outside any freeze window, and *stop* at or before the
-        timer deadline — under those, every per-cycle branch of
-        :meth:`_step_active` that consults them is statically dead, so
-        the five phase bodies are fused here with their helpers inlined
-        and hot attributes cached in locals.  A same-block I-fetch memo
-        short-circuits the cache model for straight-line runs (the
-        block is MRU with identical hit/latency/stats outcomes either
-        way), and dead stall cycles are skipped in one jump exactly as
-        in the reference loop.  Returns an event, or None once
+        Preconditions (the caller checks them): no RSE, no port
+        subscriber, no pending timer, outside any freeze window, and
+        *stop* at or before the timer deadline — under those, every
+        per-cycle branch of :meth:`_step_active` that consults them is
+        statically dead, so the five phase bodies are fused here with
+        their helpers inlined and hot attributes cached in locals.  A
+        same-block I-fetch memo short-circuits the cache model for
+        straight-line runs (the block is MRU with identical
+        hit/latency/stats outcomes either way), and dead stall cycles
+        are skipped in one jump exactly as in the reference loop.  Returns an event, or None once
         ``self.cycle`` reaches *stop*.
 
         This duplicates :meth:`step`'s semantics by design; the
@@ -849,17 +911,18 @@ class Pipeline:
 
     def _writeback(self, cycle):
         completed = False
+        ports = self.ports
         for index, uop in enumerate(self.rob):
             if uop.state != S_EXEC or uop.done_cycle > cycle:
                 continue
             completed = True
             uop.state = S_DONE
             instr = uop.instr
-            rse = self.rse
-            if rse is not None:
-                rse.on_execute(uop, cycle)
-                if instr.is_load and uop.fault is None:
-                    rse.on_mem_load(uop, cycle, uop.value)
+            for handler in ports.execute:
+                handler(uop, cycle)
+            if instr.is_load and uop.fault is None:
+                for handler in ports.mem_load:
+                    handler(uop, cycle, uop.value)
             if uop.actual_next is not None:
                 taken = uop.actual_next != ((uop.pc + 4) & MASK32)
                 if instr.iclass is InstrClass.BRANCH:
@@ -882,6 +945,7 @@ class Pipeline:
         committed = 0
         stats = self.stats
         rse = self.rse
+        ports = self.ports
         while self.rob and committed < self.config.commit_width:
             uop = self.rob[0]
             if uop.state != S_DONE:
@@ -889,6 +953,8 @@ class Pipeline:
             instr = uop.instr
             if instr.is_check and rse is not None:
                 gate = rse.ioq_gate(uop, cycle)
+                for handler in ports.gate:
+                    handler(uop, cycle, gate)
                 if gate == "wait":
                     stats.check_wait_cycles += 1
                     break
@@ -942,8 +1008,8 @@ class Pipeline:
                 stats.loads += 1
             if instr.is_control:
                 stats.branches += 1
-            if rse is not None:
-                rse.on_commit(uop, cycle)
+            for handler in ports.commit:
+                handler(uop, cycle)
             if smc_flush:
                 # The store rewrote a page that younger in-flight
                 # instructions were decoded from (self-modifying code
@@ -1055,8 +1121,8 @@ class Pipeline:
         uop.state = S_EXEC
         uop.done_cycle = cycle + config.alu_latency
         if iclass is InstrClass.CHECK:
-            if self.rse is not None:
-                self.rse.on_operands(uop, cycle, (uop.val_a, uop.val_b))
+            for handler in self.ports.operands:
+                handler(uop, cycle, (uop.val_a, uop.val_b))
             return
         rs_val, rt_val = self._rs_rt_values(uop)
         try:
@@ -1083,8 +1149,8 @@ class Pipeline:
                 # faults at the target pc, exactly like the interpreter.
         except semantics.ArithmeticFault:
             uop.fault = (uop.pc, "integer divide by zero")
-        if self.rse is not None and not instr.is_check:
-            self.rse.on_operands(uop, cycle, (rs_val, rt_val))
+        for handler in self.ports.operands:
+            handler(uop, cycle, (rs_val, rt_val))
 
     def _issue_store(self, uop, cycle):
         instr = uop.instr
@@ -1100,8 +1166,8 @@ class Pipeline:
             cause = self.mem_check(uop.eff_addr, uop.mem_size, "w")
             if cause is not None:
                 uop.fault = (uop.pc, cause)
-        if self.rse is not None:
-            self.rse.on_operands(uop, cycle, (rs_val, rt_val))
+        for handler in self.ports.operands:
+            handler(uop, cycle, (rs_val, rt_val))
 
     def _try_issue_load(self, uop, index, cycle):
         instr = uop.instr
@@ -1160,8 +1226,11 @@ class Pipeline:
                 uop.done_cycle = cycle + 1
                 return True
             uop.done_cycle = self.hierarchy.dload(cycle, addr)
-        if self.rse is not None:
-            self.rse.on_operands(uop, cycle, (rs_val, 0))
+        ports = self.ports
+        for handler in ports.operands:
+            handler(uop, cycle, (rs_val, 0))
+        for handler in ports.load:
+            handler(uop, index, cycle)
         return True
 
     @staticmethod
@@ -1202,8 +1271,8 @@ class Pipeline:
             if (instr.serializing or instr.iclass is InstrClass.NOP
                     or instr.fmt == "FAULT"):
                 uop.state = S_DONE
-            if self.rse is not None:
-                self.rse.on_dispatch(uop, cycle)
+            for handler in self.ports.dispatch:
+                handler(uop, cycle)
             budget -= 1
             if instr.serializing:
                 break          # nothing younger may enter until it retires
@@ -1380,8 +1449,9 @@ class Pipeline:
             if dest:
                 self.rename[dest] = uop
         self.stats.squashed += len(squashed)
-        if squashed and self.rse is not None:
-            self.rse.on_squash(squashed, self.cycle)
+        if squashed:
+            for handler in self.ports.squash:
+                handler(squashed, self.cycle)
 
     def flush_all(self):
         """Squash the entire window (faults, CHECK errors, context switch)."""
@@ -1394,5 +1464,6 @@ class Pipeline:
         self._held = None
         self._injected_for_held = False
         self.stats.squashed += len(squashed)
-        if squashed and self.rse is not None:
-            self.rse.on_squash(squashed, self.cycle)
+        if squashed:
+            for handler in self.ports.squash:
+                handler(squashed, self.cycle)

@@ -1,9 +1,11 @@
 """Assertions stay correct — and silent — across checkpoint/restore.
 
-The hub must suspend the engine-level shadows while the checkpoint
-layer captures (so wrapper closures never become machine state), emit
-the checkpoint/restore events, and treat the restore redirect as a
-sanctioned discontinuity rather than a contiguity violation.
+The pipeline's port table is wiring, not machine state: a capture
+taken while the hub's subscriptions are live must equal a bare
+machine's, and restoring it must not bring subscriptions back.  The
+hub must also emit the checkpoint/restore events and treat the restore
+redirect as a sanctioned discontinuity rather than a contiguity
+violation.
 """
 
 from repro.assertions.monitor import AssertionMonitor
@@ -57,8 +59,8 @@ def test_shadows_resume_after_capture(monkeypatch):
     machine = build_monitored_machine()
     machine.pipeline.run(max_cycles=400)
     machine.checkpoint()
-    # Break sw *after* the capture: if the suspended shadows were not
-    # re-installed, the dropped stores would sail past unobserved.
+    # Break sw *after* the capture: if the capture had dropped the
+    # subscriptions, the dropped stores would sail past unobserved.
     monkeypatch.setitem(semantics.STORE_OPS, "sw",
                         lambda memory, addr, value: None)
     machine.pipeline.run(max_cycles=5_000)
@@ -79,8 +81,36 @@ def test_checkpoint_capture_excludes_wrapper_state():
 
     monitored_fields = set(monitored_capture._state["pipeline"])
     assert monitored_fields & {"step", "run", "resume", "reset_at",
-                               "_try_issue_load"} == set()
+                               "_try_issue_load", "ports"} == set()
     assert monitored_fields == set(bare_capture._state["pipeline"])
+
+
+def test_restore_after_detach_leaves_only_the_rse_subscribed():
+    """A checkpoint taken while monitoring restores no subscription."""
+    asm = assemble(DEMO_WORKLOAD)
+    machine = build_machine(with_rse=True)
+    machine.memory.store_bytes(asm.text_base, asm.text)
+    machine.memory.store_bytes(asm.data_base, asm.data)
+    machine.pipeline.reset_at(asm.entry)
+    machine.pipeline.regs[29] = STACK_TOP
+    ports = machine.pipeline.ports
+    rse_only = {event: list(getattr(ports, event))
+                for event in ports.EVENTS}
+
+    machine.assertions.attach()
+    machine.pipeline.run(max_cycles=400)
+    captured = machine.checkpoint()
+    machine.assertions.detach()
+    machine.restore(captured)
+
+    rse = machine.rse
+    assert {event: list(getattr(ports, event))
+            for event in ports.EVENTS} == rse_only
+    assert ports.commit == [rse.on_commit]
+    assert ports.dispatch == [rse.on_dispatch]
+    assert ports.redirect == ports.gate == ports.load == []
+    event = machine.pipeline.run(max_cycles=BUDGET)
+    assert event.kind is EventKind.HALT
 
 
 # ----------------------------------------------- synthetic restore events

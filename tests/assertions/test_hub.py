@@ -62,8 +62,13 @@ def test_detach_leaves_no_shadows_behind():
     machine, __ = build_loaded(with_rse=True)
     pipeline_dict_before = set(machine.pipeline.__dict__)
     rse_dict_before = set(machine.rse.__dict__)
+    ports = machine.pipeline.ports
+    ports_before = {event: list(getattr(ports, event))
+                    for event in ports.EVENTS}
     machine.assertions.attach()
     machine.assertions.detach()
+    assert {event: list(getattr(ports, event))
+            for event in ports.EVENTS} == ports_before
     assert set(machine.pipeline.__dict__) == pipeline_dict_before
     assert set(machine.rse.__dict__) == rse_dict_before
     assert "checkpoint" not in machine.__dict__

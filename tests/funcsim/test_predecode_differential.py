@@ -132,55 +132,19 @@ def test_corrupting_already_executed_text_changes_execution():
 
 # --------------------------------------------------------------- pipeline
 
-class RecordingRSE:
-    """Minimal pipeline-attachment stub that records the commit trace."""
-
-    def __init__(self):
-        self.commits = []
-
-    def on_dispatch(self, uop, cycle):
-        pass
-
-    def on_operands(self, uop, cycle, values):
-        pass
-
-    def on_execute(self, uop, cycle):
-        pass
-
-    def on_mem_load(self, uop, cycle, value):
-        pass
-
-    def ioq_gate(self, uop, cycle):
-        return False
-
-    def pre_commit_store(self, uop, cycle):
-        return False
-
-    def check_blocks_loads(self, instr):
-        return False
-
-    def on_commit(self, uop, cycle):
-        self.commits.append((cycle, uop.pc, uop.instr.name))
-
-    def on_squash(self, uops, cycle):
-        pass
-
-    def step(self, cycle):
-        pass
-
-
 @pytest.mark.parametrize("workload", ["vpr-route"])
 def test_pipeline_commit_trace_identical_with_and_without_predecode(workload):
     traces = {}
     for predecode in (False, True):
         asm, mem = load_assembly(WORKLOADS[workload])
-        rse = RecordingRSE()
         pipe = make_pipeline(mem, asm.entry,
-                             config=PipelineConfig(predecode=predecode),
-                             rse=rse)
+                             config=PipelineConfig(predecode=predecode))
+        commits = []
+        pipe.ports.subscribe("commit", lambda uop, cycle: commits.append(
+            (cycle, uop.pc, uop.instr.name)))
         event = pipe.run(max_cycles=3_000_000)
         traces[predecode] = (event.kind.value, pipe.cycle,
-                             tuple(pipe.regs), rse.commits)
+                             tuple(pipe.regs), commits)
     assert traces[True] == traces[False]
     assert traces[True][0] == "halt"
     assert len(traces[True][3]) > 1000

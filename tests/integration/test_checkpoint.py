@@ -17,7 +17,7 @@ what the campaign fork engine stakes correctness on.
 import pytest
 
 from repro.difftest import generate
-from repro.difftest.oracle import CommitRecorder, EngineRun, _compare
+from repro.difftest.oracle import EngineRun, _compare
 from repro.isa.assembler import assemble
 from repro.pipeline.core import EventKind
 from repro.system import build_machine
@@ -33,9 +33,10 @@ def build_recorded_machine(asm):
     machine.memory.store_bytes(asm.data_base, asm.data)
     machine.pipeline.reset_at(asm.entry)
     machine.pipeline.regs[29] = STACK_TOP
-    recorder = CommitRecorder()
-    machine.pipeline.rse = recorder
-    return machine, recorder
+    stream = []
+    machine.pipeline.ports.subscribe(
+        "commit", lambda uop, cycle: stream.append(uop.pc))
+    return machine, stream
 
 
 def engine_run(label, machine, stream, event):
@@ -60,35 +61,34 @@ def test_checkpoint_replays_generated_program_exactly(seed):
     asm = assemble(program.source)
 
     # Cold reference run.
-    cold_machine, cold_recorder = build_recorded_machine(asm)
+    cold_machine, cold_stream = build_recorded_machine(asm)
     cold_event = cold_machine.pipeline.run(max_cycles=BUDGET)
-    cold = engine_run("cold", cold_machine, cold_recorder.stream, cold_event)
+    cold = engine_run("cold", cold_machine, cold_stream, cold_event)
     total = cold_machine.pipeline.cycle
     if total < 40:
         pytest.skip("program too short to segment (%d cycles)" % total)
 
     # Segmented run: checkpoint mid-flight, then continue to the end.
-    machine, recorder = build_recorded_machine(asm)
+    machine, stream = build_recorded_machine(asm)
     split = total // 2
     event = machine.pipeline.run(max_cycles=split)
     assert event.kind is EventKind.MAX_CYCLES
     assert machine.pipeline.cycle == split
     checkpoint = machine.checkpoint()
-    prefix_stream = list(recorder.stream)
+    prefix = len(stream)
 
     event = machine.pipeline.run(max_cycles=BUDGET - split)
-    segmented = engine_run("segmented", machine, recorder.stream, event)
+    segmented = engine_run("segmented", machine, stream, event)
     assert_identical(asm, cold, segmented)
 
     # Restore and replay the tail — twice, since one checkpoint must
     # support any number of restores (the fork engine restores per
-    # injection).
+    # injection).  The commit subscription is wiring, not machine
+    # state: it survives the restore and records the replayed tail.
     for attempt in ("restored", "restored-again"):
         machine.restore(checkpoint)
         assert machine.pipeline.cycle == split
-        tail = CommitRecorder()
-        machine.pipeline.rse = tail
+        del stream[prefix:]
         event = machine.pipeline.run(max_cycles=BUDGET - split)
-        replayed = engine_run(attempt, machine,
-                              prefix_stream + tail.stream, event)
+        replayed = engine_run(attempt, machine, stream, event)
         assert_identical(asm, cold, replayed)

@@ -1,13 +1,16 @@
 """Probe attach/detach hygiene and the zero-cost-when-off contract.
 
-Probes instrument by shadowing bound methods with instance attributes,
-so "off" must mean *no wrapper anywhere* (the class methods run bare)
-and "on" must be architecturally invisible (identical retired
-instruction stream and cycle count).
+Probes subscribe to the pipeline's event ports or shadow bound methods
+with instance attributes, so "off" must mean *no wrapper anywhere*
+(the class methods run bare, the ports hold only the RSE) and "on"
+must be architecturally invisible (identical retired instruction
+stream and cycle count).
 """
 
 import pytest
 
+from repro.rse.check import MODULE_ICM
+from repro.rse.modules.icm import build_checker_memory, make_icm_injector
 from repro.system import build_machine
 from repro.workloads import kmeans
 
@@ -37,9 +40,13 @@ def shadowed_attrs(machine):
         (machine.kernel, "_schedule"),
     ]
     if machine.rse is not None:
-        spots += [(machine.rse, "on_dispatch"), (machine.rse, "on_commit"),
-                  (machine.rse, "note_error_transition")]
+        spots.append((machine.rse, "note_error_transition"))
     return [attr for obj, attr in spots if attr in vars(obj)]
+
+
+def port_subscribers(machine):
+    ports = machine.pipeline.ports
+    return {event: list(getattr(ports, event)) for event in ports.EVENTS}
 
 
 def test_probes_on_off_equivalence():
@@ -61,11 +68,14 @@ def test_probes_on_off_equivalence():
 def test_detach_restores_bare_methods():
     machine = build_loaded(with_rse=True)
     assert shadowed_attrs(machine) == []        # nothing before attach
+    rse_only = port_subscribers(machine)
     for name in ALL_PROBES:
         machine.obs.attach(name)
     assert shadowed_attrs(machine) != []
+    assert port_subscribers(machine) != rse_only
     machine.obs.detach()                        # all probes
     assert shadowed_attrs(machine) == []
+    assert port_subscribers(machine) == rse_only
     assert machine.obs.attached() == []
     assert machine.snapshot()["obs"]["probes"] == []
 
@@ -83,6 +93,31 @@ def test_rse_probe_requires_rse():
     machine = build_loaded()                    # bare machine
     with pytest.raises(ValueError):
         machine.obs.attach("rse")
+
+
+def test_rse_probe_counts_every_dispatch_and_committed_check():
+    """Table 4's framework+ICM: a runtime CHECK before every
+    control-flow instruction.  The probe sees one IOQ allocation per
+    Fetch_Out push and one latency sample per committed CHECK."""
+    image, __ = kmeans.program(pattern_count=20, clusters=4, iterations=1)
+    machine = build_machine(with_rse=True, modules=("icm",))
+    machine.kernel.load_process(image)
+    text = image.segment(".text")
+    checker_map = build_checker_memory(machine.memory, text.base,
+                                       len(text.data))
+    machine.module(MODULE_ICM).configure(checker_map)
+    machine.rse.enable_module(MODULE_ICM)
+    machine.pipeline.check_injector = make_icm_injector(checker_map)
+    machine.obs.attach("rse")
+    run_to_halt(machine)
+
+    doc = machine.snapshot()
+    metrics = doc["obs"]["metrics"]
+    occupancy = metrics["rse.ioq_occupancy"]
+    latency = metrics["rse.check_commit_latency"]
+    assert occupancy["count"] == doc["rse"]["queues"]["Fetch_Out"]["pushed"]
+    assert latency["count"] == doc["pipeline"]["committed_checks"] > 0
+    assert latency["min"] >= 1
 
 
 def test_probes_populate_metrics_and_trace():

@@ -160,3 +160,24 @@ def test_shadowed_step_deopts_to_reference_loop():
     event = pipeline.run(max_cycles=1_000)
     assert event.kind is EventKind.HALT
     assert len(seen) == pipeline.cycle    # every cycle went through spy
+
+
+def test_cycle_limit_is_exact_when_a_skip_reaches_it():
+    """A dead-cycle skip that lands on the limit must stop there, as the
+    step loop does — on a framework machine (quiescent RSE) and on a
+    bare one whose ports have a subscriber (both skip outside the fused
+    loop)."""
+    from repro.campaign import DEMO_WORKLOAD
+    from repro.system import build_machine
+
+    asm = assemble(DEMO_WORKLOAD)
+    for with_rse in (True, False):
+        for limit in range(20, 200, 7):
+            machine = build_machine(with_rse=with_rse)
+            machine.memory.store_bytes(asm.text_base, asm.text)
+            machine.memory.store_bytes(asm.data_base, asm.data)
+            machine.pipeline.reset_at(asm.entry)
+            machine.pipeline.ports.subscribe("commit", lambda uop, cycle: None)
+            event = machine.pipeline.run(max_cycles=limit)
+            assert event.kind is EventKind.MAX_CYCLES
+            assert machine.pipeline.cycle == limit, (with_rse, limit)
