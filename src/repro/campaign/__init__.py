@@ -8,12 +8,13 @@ outcomes; this package makes that a first-class subsystem:
   corruption), each producing deterministic injections;
 * :mod:`repro.campaign.space` — seeded, order-independent sampling of
   the injection space;
-* :mod:`repro.campaign.runner` — serial or multiprocessing execution
-  with crash-isolated workers, per-run cycle budgets, and fork-at-trigger
+* :mod:`repro.campaign.runner` — in-process execution with
+  crash-isolated injections, per-run cycle budgets, and fork-at-trigger
   prefix sharing over :mod:`repro.checkpoint` machine snapshots;
 * :mod:`repro.campaign.options` — :class:`ExecutionOptions`, the frozen
   how-to-run dataclass behind ``run_campaign(spec, options=...)``;
-* :mod:`repro.campaign.service` — the sharded campaign service: warmed
+* :mod:`repro.campaign.service` — the sharded campaign service, the one
+  parallel engine (``workers > 1``): warmed
   :class:`~repro.checkpoint.CampaignImage` distribution, work-stealing
   shard workers, per-shard resumable stores, verified merge;
 * :mod:`repro.campaign.aggregate` — incremental aggregation over live

@@ -2,17 +2,16 @@
 
 A campaign's records are fully determined by its
 :class:`~repro.campaign.runner.CampaignSpec`; everything about worker
-processes, chunking, sharding, checkpoint forking, the batch fast-path
-and result storage is an execution detail that must never leak into the
+processes, sharding, checkpoint forking, the batch fast-path and result
+storage is an execution detail that must never leak into the
 spec fingerprint — the same spec run serially, sharded across workers,
 or resumed from a half-written store produces identical records.
 
-Those details used to accrete one keyword argument at a time on
-:func:`~repro.campaign.runner.run_campaign` (``workers``,
-``chunk_size``, ``store_path``, ``fork``, ``batch``); this module
-consolidates them into one frozen dataclass so the canonical signature
-is ``run_campaign(spec, options=ExecutionOptions(...))`` and the CLI,
-the service and the benchmarks all build the same object in one place.
+This module holds them in one frozen dataclass, so the canonical
+signature is ``run_campaign(spec, options=ExecutionOptions(...))`` and
+the CLI, the service and the benchmarks all build the same object.
+Option dicts stored with keys an older version knew (``chunk_size``)
+still load: :meth:`ExecutionOptions.from_dict` drops unknown keys.
 """
 
 import dataclasses
@@ -25,26 +24,24 @@ class ExecutionOptions:
     """How to execute a campaign (not part of the spec fingerprint).
 
     Attributes:
-        workers: >1 fans injections out over a process pool (unsharded
-            mode) or caps the shard worker pool (sharded mode).
-        chunk_size: injections handed to a pool worker per dispatch
-            (unsharded mode only; shards are the dispatch unit when
-            sharding).
+        workers: >1 runs the campaign on the sharded service
+            (:mod:`repro.campaign.service`) with that many worker
+            processes; 1 runs it in-process.
         fork: share trigger prefixes via machine checkpoints instead of
-            re-simulating the warmup per injection (pure-arm models).
+            re-simulating the warmup per injection (pure-arm models),
+            in-process and in every service worker alike.
         batch: False forces the pipeline's one-step()-per-cycle
             reference loop (``--no-jit``).
-        shards: >0 routes execution through the sharded campaign
-            service (:mod:`repro.campaign.service`): the injection
-            space splits into that many seed-range shards with
-            work-stealing workers and per-shard resumable stores.
+        shards: seed-range shards the service splits the injection
+            space into (work-stealing workers, per-shard resumable
+            stores); 0 means one shard per worker.  >0 routes even a
+            one-worker campaign through the service.
         store: JSONL result store path; an existing store resumes the
-            campaign.  In sharded mode this is the merged store and the
+            campaign.  On the service this is the merged store and the
             per-shard stores live beside it.
     """
 
     workers: int = 1
-    chunk_size: int = 16
     fork: bool = False
     batch: bool = True
     shards: int = 0

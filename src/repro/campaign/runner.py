@@ -1,14 +1,14 @@
-"""Parallel, resumable campaign execution.
+"""Resumable campaign execution.
 
 The engine fixes the two structural costs of a serial loop that
 rebuilds everything per injection:
 
-* the workload is **assembled once per campaign** (once per worker
-  process in parallel mode), not once per injection — only the cheap
-  machine build and memory image copy happen per run;
-* injections fan out over a ``multiprocessing`` worker pool in chunks,
-  with per-injection derived seeds so results are identical regardless
-  of worker count or completion order.
+* the workload is **assembled once per campaign** (once per process),
+  not once per injection — only the cheap machine build and memory
+  image copy happen per run;
+* every injection derives its seed from ``(campaign seed, id)``, so
+  results are identical regardless of worker count, shard count or
+  completion order.
 
 Fork mode (``fork=True`` / ``repro campaign --fork``) removes the third
 structural cost — re-simulating the fault-free warmup prefix for every
@@ -23,17 +23,19 @@ the flag is an execution detail and deliberately not part of the spec
 fingerprint.  Models that arm by mutating the machine (instr-flip,
 cf-corrupt) silently keep the fresh-machine path.
 
-Workers are crash-isolated: a Python-level failure inside one injection
-is caught in the worker and classified :data:`Outcome.CRASHED`; a hard
-worker death (the pool breaks) fails only the chunk that was in flight —
-its runs are classified CRASHED after one retry and the pool is rebuilt
-for the remaining work.
+:func:`run_campaign` runs in-process when ``workers <= 1`` and
+``shards == 0``.  Anything else goes to the sharded service
+(:mod:`repro.campaign.service`), the one parallel engine, which splits
+the campaign ``workers`` ways unless ``shards`` says otherwise.  Either
+way a Python-level failure inside one injection is caught and
+classified :data:`Outcome.CRASHED`; a worker process that dies loses at
+most its in-flight record, which the service recomputes.
 """
 
 import hashlib
 import json
 
-from repro.campaign.models import Injection, Outcome, get_model
+from repro.campaign.models import Outcome, get_model
 from repro.campaign.options import ExecutionOptions
 from repro.campaign.space import sample_injections
 from repro.campaign.store import ResultStore
@@ -84,7 +86,7 @@ skip:
 class CampaignSpec:
     """Everything that defines a campaign's *results* (picklable).
 
-    Execution details — worker count, chunk size, store path — live
+    Execution details — worker count, shard count, store path — live
     outside the spec so they never affect the fingerprint: the same spec
     run serially, in parallel, or resumed must produce the same records.
     """
@@ -473,75 +475,6 @@ class CampaignRun:
         return "CampaignRun(%s)" % self.summary()
 
 
-# ----------------------------------------------------------------- worker IPC
-
-_WORKER_CTX = None
-_WORKER_FORK = None
-
-
-def _worker_init(spec_dict, fork=False, batch=True):
-    """Pool initializer: build the campaign context once per process."""
-    global _WORKER_CTX, _WORKER_FORK
-    _WORKER_CTX = CampaignContext(CampaignSpec.from_dict(spec_dict),
-                                  batch=batch)
-    _WORKER_FORK = None
-    if fork and _WORKER_CTX.model.arm_is_pure:
-        try:
-            _WORKER_FORK = ForkEngine(_WORKER_CTX)
-        except Exception:
-            _WORKER_FORK = None      # cold path still produces the records
-
-
-def _worker_run_chunk(injection_dicts):
-    injections = [Injection.from_dict(payload) for payload in injection_dicts]
-    if _WORKER_FORK is not None:
-        return [forked_injection(_WORKER_CTX, _WORKER_FORK, injection)
-                for injection in injections]
-    return [execute_injection(_WORKER_CTX, injection)
-            for injection in injections]
-
-
-def _parallel_dispatch(spec, todo, chunk_size, workers, emit, fork=False,
-                       batch=True):
-    """Fan chunks out over a process pool, surviving worker death.
-
-    A chunk whose future fails (worker killed, pool broken) is retried
-    once on a fresh pool; failing a second time classifies its
-    injections as CRASHED.  The campaign itself always completes.
-    """
-    import concurrent.futures as futures_mod
-
-    chunks = [todo[index:index + chunk_size]
-              for index in range(0, len(todo), chunk_size)]
-    attempts = {}
-    pending = list(enumerate(chunks))
-    spec_dict = spec.to_dict()
-    while pending:
-        pool = futures_mod.ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init,
-            initargs=(spec_dict, fork, batch))
-        submitted = {
-            pool.submit(_worker_run_chunk,
-                        [injection.to_dict() for injection in chunk]):
-            (chunk_id, chunk)
-            for chunk_id, chunk in pending}
-        pending = []
-        try:
-            for future in futures_mod.as_completed(submitted):
-                chunk_id, chunk = submitted[future]
-                try:
-                    emit(future.result())
-                except Exception:
-                    attempts[chunk_id] = attempts.get(chunk_id, 0) + 1
-                    if attempts[chunk_id] > 1:
-                        emit([crashed_record(injection)
-                              for injection in chunk])
-                    else:
-                        pending.append((chunk_id, chunk))
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
 # ------------------------------------------------------------------- campaign
 
 def _full_coverage(spec, records):
@@ -557,15 +490,15 @@ def run_campaign(spec, options=None, progress=None):
         spec: the :class:`CampaignSpec` defining the campaign — the
             only input that affects the records.
         options: an :class:`~repro.campaign.options.ExecutionOptions`
-            describing how to run (workers, chunking, fork, batch,
-            shards, store).  ``options.shards > 0`` routes execution
-            through the sharded campaign service.
+            describing how to run (workers, shards, fork, batch, store).
+            ``workers > 1`` or ``shards > 0`` routes execution through
+            the sharded campaign service.
         progress: optional ``callback(done, total)`` fired as records
             land (including records recovered from the store).
     """
     if options is None:
         options = ExecutionOptions()
-    if options.shards:
+    if options.workers > 1 or options.shards:
         from repro.campaign.service import run_service
 
         return run_service(spec, options, progress=progress)
@@ -599,11 +532,10 @@ def run_campaign(spec, options=None, progress=None):
     if progress is not None and records:
         progress(len(records), total)
 
-    def emit(batch):
-        for record in batch:
-            records.append(record)
-            if store is not None:
-                store.append(record)
+    def emit(record):
+        records.append(record)
+        if store is not None:
+            store.append(record)
         if progress is not None:
             progress(len(records), total)
 
@@ -612,20 +544,13 @@ def run_campaign(spec, options=None, progress=None):
     # classification, so monitored campaigns always take the cold path.
     use_fork = options.fork and ctx.model.arm_is_pure and not spec.assertions
     try:
-        if options.workers <= 1:
-            if use_fork and todo:
-                engine = ForkEngine(ctx)
-                for injection in _fork_order(ctx, todo):
-                    emit([forked_injection(ctx, engine, injection)])
-            else:
-                for injection in todo:
-                    emit([execute_injection(ctx, injection)])
-        elif todo:
-            if use_fork:
-                todo = _fork_order(ctx, todo)
-            _parallel_dispatch(spec, todo, options.chunk_size,
-                               options.workers, emit, fork=use_fork,
-                               batch=options.batch)
+        if use_fork and todo:
+            engine = ForkEngine(ctx)
+            for injection in _fork_order(ctx, todo):
+                emit(forked_injection(ctx, engine, injection))
+        else:
+            for injection in todo:
+                emit(execute_injection(ctx, injection))
     finally:
         if store is not None:
             store.close()

@@ -1,9 +1,9 @@
 """Sharded campaign service: warmed images, work stealing, merge.
 
-The unsharded runner (:mod:`repro.campaign.runner`) fans *chunks of
-injections* over a process pool that must stay alive for the whole
-campaign.  This module scales the same deterministic campaign along a
-different axis — **shards**:
+This is the campaign's one parallel engine: :func:`~repro.campaign
+.runner.run_campaign` routes here whenever ``workers > 1`` or
+``shards > 0``, and the shard count defaults to the worker count.  It
+scales the deterministic campaign along one axis — **shards**:
 
 * the injection space ``[0, spec.injections)`` splits into contiguous
   **seed-range shards**.  Because every injection derives from
@@ -18,11 +18,17 @@ different axis — **shards**:
   workload;
 * workers **steal shards** from a shared queue: a fast worker that
   drains its shard immediately pulls the next one, so stragglers never
-  gate the campaign.  Each shard appends to its **own JSONL store**
-  (``<store>.shardNNN.jsonl``) whose header records the shard identity
-  and id range — a shard store is self-describing and individually
-  resumable, so SIGKILLing any worker loses at most one in-flight
-  record;
+  gate the campaign, and a worker exits the moment it takes one of the
+  stop markers queued behind the shards.  Each shard appends to its
+  **own JSONL store** (``<store>.shardNNN.jsonl``) whose header records
+  the shard identity and id range — a shard store is self-describing
+  and individually resumable, so SIGKILLing any worker loses at most
+  one in-flight record.  The parent tails those stores while workers
+  run and reports progress from them;
+* with ``fork`` on and a pure-arm model, each process runs a shard's
+  injections as one ascending trigger sweep through a
+  :class:`~repro.campaign.runner.ForkEngine`; otherwise every strike
+  restores the warmed image;
 * after the workers drain the queue the parent re-plans: shards left
   incomplete by dead workers are re-queued for another worker round,
   and whatever still remains after :data:`WORKER_ROUNDS` rounds is
@@ -46,9 +52,11 @@ import shutil
 import signal
 import tempfile
 
+from repro.campaign.aggregate import StoreTail
 from repro.campaign.runner import (CampaignContext, CampaignRun,
-                                   CampaignSpec, _full_coverage,
-                                   build_campaign_machine, execute_injection,
+                                   CampaignSpec, ForkEngine, _fork_order,
+                                   _full_coverage, build_campaign_machine,
+                                   execute_injection, forked_injection,
                                    strike_injection)
 from repro.campaign.space import injection_at
 from repro.campaign.store import ResultStore
@@ -57,12 +65,16 @@ from repro.checkpoint import CampaignImage
 #: Worker rounds before the parent finishes remaining shards itself.
 WORKER_ROUNDS = 2
 
-#: How long an idle worker waits on the shard queue before exiting.
-#: Also the recovery bound when a SIGKILLed worker dies holding the
+#: Recovery bound when a SIGKILLed worker dies holding the shard
 #: queue's reader lock: ``Queue.get`` applies the timeout to the lock
 #: acquisition, so surviving workers see ``Empty`` and return to the
-#: parent instead of deadlocking.
+#: parent instead of deadlocking.  Workers otherwise exit on their stop
+#: marker without waiting.
 STEAL_TIMEOUT = 0.5
+
+#: How often the parent polls the shard stores for progress while
+#: workers run.
+PROGRESS_INTERVAL = 0.1
 
 KILL_FILE_ENV = "REPRO_CAMPAIGN_KILL_FILE"
 KILL_AFTER_ENV = "REPRO_CAMPAIGN_KILL_AFTER"
@@ -190,83 +202,123 @@ class ImageEngine:
             return execute_injection(self.ctx, injection)
 
 
-def _build_engine(ctx, image):
-    """``injection -> record`` callable for one worker process.
+def _build_engine(ctx, image, fork=False):
+    """``(order, run)`` for one process.
 
-    Monitored campaigns (``spec.assertions``) take the cold path: the
-    invariant monitor hangs state off the machine that a restore does
-    not rewind, so reusing one machine would leak one strike's
-    violations into the next run's classification.
+    *order* sequences a shard's pending injections and *run* maps one
+    injection to its record.  With *fork* and a pure-arm model, a
+    :class:`ForkEngine` runs each shard as one ascending trigger sweep;
+    otherwise every strike restores the warmed *image*.  Monitored
+    campaigns (``spec.assertions``) take the cold path: the invariant
+    monitor hangs state off the machine that a restore does not rewind,
+    so reusing one machine would leak one strike's violations into the
+    next run's classification.
     """
+    def cold(injection):
+        return execute_injection(ctx, injection)
+
+    def in_id_order(injections):
+        return injections
+
     if ctx.spec.assertions or getattr(ctx.model, "owns_execution", False):
-        return lambda injection: execute_injection(ctx, injection)
+        return in_id_order, cold
     try:
-        return ImageEngine(ctx, image).run
+        if fork and ctx.model.arm_is_pure:
+            engine = ForkEngine(ctx)
+            return (lambda injections: _fork_order(ctx, injections),
+                    lambda injection: forked_injection(ctx, engine,
+                                                       injection))
+        return in_id_order, ImageEngine(ctx, image).run
     except Exception:
-        return lambda injection: execute_injection(ctx, injection)
+        return in_id_order, cold      # the cold path gives the same records
 
 
 # ------------------------------------------------------------ shard execution
 
+def _shard_identity(shard):
+    """The ``shard`` header field of *shard*'s store."""
+    shard_id, start, stop = shard
+    return {"id": shard_id, "start": start, "stop": stop}
+
+
 def _process_shard(ctx, engine, shard, path, kill=None):
     """Run (or resume) one shard against its own store."""
-    shard_id, start, stop = shard
+    __, start, stop = shard
     spec = ctx.spec
+    identity = _shard_identity(shard)
     store = ResultStore(path)
-    done = set()
+    kept = []
+    planned = False
     if store.exists():
-        __, prior = store.verify(spec.fingerprint())
-        done = {record["id"] for record in prior}
-    else:
+        header, prior = store.verify(spec.fingerprint())
+        kept = [record for record in prior
+                if start <= record["id"] < stop]
+        planned = header.get("shard") == identity
+    if not planned:
+        # A new store, or one written under another shard count (the
+        # campaign resumed with a different --workers): rewrite it for
+        # this range, keeping the records that already fall inside it.
         store.write_header(spec.fingerprint(), spec.to_dict(),
-                           extra={"shard": {"id": shard_id, "start": start,
-                                            "stop": stop}})
+                           extra={"shard": identity})
+        for record in kept:
+            store.append(record)
+    done = {record["id"] for record in kept}
     space = ctx.model.build_space(ctx)
+    pending = [injection_at(ctx.model, space, index, spec.seed)
+               for index in range(start, stop) if index not in done]
+    order, run = engine
     try:
-        for index in range(start, stop):
-            if index in done:
-                continue
-            injection = injection_at(ctx.model, space, index, spec.seed)
-            store.append(engine(injection))
+        for injection in order(pending):
+            store.append(run(injection))
             if kill is not None:
                 kill.tick()
     finally:
         store.close()
 
 
-def _service_worker(spec_dict, image_bytes, task_queue, store_root, batch):
-    """Worker loop: steal shards until the queue stays empty."""
+def _service_worker(spec_dict, image_bytes, task_queue, store_root, batch,
+                    fork):
+    """Worker loop: steal shards until taking a stop marker (None)."""
     spec = CampaignSpec.from_dict(spec_dict)
     image = CampaignImage.from_bytes(image_bytes)
     ctx = CampaignContext(spec, batch=batch, golden=image.meta["golden"])
-    engine = _build_engine(ctx, image)
+    engine = _build_engine(ctx, image, fork=fork)
     kill = _KillSwitch()
     while True:
         try:
             shard = task_queue.get(timeout=STEAL_TIMEOUT)
         except queue_mod.Empty:
+            return          # a killed peer holds the reader lock
+        if shard is None:
             return
         _process_shard(ctx, engine, shard, shard_store_path(store_root,
                                                             shard[0]),
                        kill=kill)
 
 
-def _run_worker_round(spec, options, todo, image_bytes, store_root):
-    """One worker round over the *todo* shards; survives worker death."""
+def _run_worker_round(spec, options, todo, image_bytes, store_root, poll):
+    """One worker round over the *todo* shards; survives worker death.
+
+    Calls *poll* every :data:`PROGRESS_INTERVAL` while workers run.
+    """
     mp = multiprocessing.get_context()
     task_queue = mp.Queue()
+    count = max(1, min(options.workers, len(todo)))
     for shard in todo:
         task_queue.put(shard)
-    count = max(1, min(options.workers, len(todo)))
+    for __ in range(count):
+        task_queue.put(None)
     workers = [mp.Process(target=_service_worker,
                           args=(spec.to_dict(), image_bytes, task_queue,
-                                store_root, options.batch),
+                                store_root, options.batch, options.fork),
                           daemon=True)
                for __ in range(count)]
     for worker in workers:
         worker.start()
     for worker in workers:
-        worker.join()
+        while worker.is_alive():
+            worker.join(PROGRESS_INTERVAL)
+            poll()
     # Shards may remain enqueued (all workers died early); the parent
     # re-plans from the stores, so just detach from the queue cleanly.
     task_queue.cancel_join_thread()
@@ -274,12 +326,18 @@ def _run_worker_round(spec, options, todo, image_bytes, store_root):
 
 
 def _shard_done_ids(spec, shard, path):
-    """Ids in ``[start, stop)`` that *path* already holds records for."""
+    """Ids in ``[start, stop)`` that *path* already holds records for.
+
+    A store written under another shard plan counts as holding none, so
+    :func:`_process_shard` rewrites it for this plan.
+    """
     __, start, stop = shard
     store = ResultStore(path)
     if not store.exists():
         return set()
-    __, records = store.verify(spec.fingerprint())
+    header, records = store.verify(spec.fingerprint())
+    if header.get("shard") != _shard_identity(shard):
+        return set()
     return {record["id"] for record in records if start <= record["id"] < stop}
 
 
@@ -293,6 +351,30 @@ def _incomplete_shards(spec, shards, store_root):
         if not set(range(start, stop)) <= done:
             todo.append(shard)
     return todo
+
+
+def _store_progress(progress, total, paths):
+    """A ``poll()`` that reports *progress* from the shard stores.
+
+    Each poll reads only the bytes appended since the last one
+    (:class:`~repro.campaign.aggregate.StoreTail`), counts distinct run
+    ids, and reports the count only when it changed.
+    """
+    if progress is None:
+        return lambda: None
+    tails = [StoreTail(path) for path in paths]
+    done = set()
+    reported = None
+
+    def poll():
+        nonlocal reported
+        for tail in tails:
+            done.update(payload["id"] for payload in tail.poll()
+                        if payload.get("kind") == "run")
+        if len(done) != reported:
+            reported = len(done)
+            progress(reported, total)
+    return poll
 
 
 # -------------------------------------------------------------------- merging
@@ -344,8 +426,10 @@ def run_service(spec, options, progress=None):
     The orchestration loop: plan shards, warm one image, run worker
     rounds (re-queueing shards that dead workers left incomplete),
     finish any remainder in-parent, merge.  Reached via
-    ``run_campaign(spec, options=ExecutionOptions(shards=N, ...))``.
+    ``run_campaign(spec, options=ExecutionOptions(workers=N, ...))``;
+    ``options.shards`` defaults to ``options.workers``.
     """
+    options = options.replace(shards=options.shards or options.workers)
     total = spec.injections
     tempdir = None
     if options.store:
@@ -361,18 +445,11 @@ def run_service(spec, options, progress=None):
         tempdir = tempfile.mkdtemp(prefix="repro-campaign-")
         store_root = os.path.join(tempdir, "campaign.jsonl")
     shards = plan_shards(total, options.shards)
+    paths = [shard_store_path(store_root, shard[0]) for shard in shards]
+    poll = _store_progress(progress, total, paths)
     try:
         image = build_campaign_image(spec, batch=options.batch)
         image_bytes = image.to_bytes()
-
-        def report():
-            if progress is not None:
-                done = set()
-                for shard in shards:
-                    done |= _shard_done_ids(
-                        spec, shard, shard_store_path(store_root, shard[0]))
-                progress(len(done), total)
-
         rounds = 0
         while True:
             todo = _incomplete_shards(spec, shards, store_root)
@@ -385,22 +462,18 @@ def run_service(spec, options, progress=None):
                 # it.
                 ctx = CampaignContext(spec, batch=options.batch,
                                       golden=image.meta["golden"])
-                engine = _build_engine(ctx, image)
+                engine = _build_engine(ctx, image, fork=options.fork)
                 for shard in todo:
                     _process_shard(ctx, engine, shard,
                                    shard_store_path(store_root, shard[0]))
-                report()
+                    poll()
                 break
             rounds += 1
-            _run_worker_round(spec, options, todo, image_bytes, store_root)
-            report()
+            _run_worker_round(spec, options, todo, image_bytes, store_root,
+                              poll)
 
-        records = merge_shards(
-            spec, [shard_store_path(store_root, shard[0])
-                   for shard in shards],
-            merged_path=options.store)
-        if progress is not None:
-            progress(total, total)
+        records = merge_shards(spec, paths, merged_path=options.store)
+        poll()
         return CampaignRun(spec, records, options)
     finally:
         if tempdir is not None:

@@ -6,7 +6,7 @@ One campaign maps to one append-only JSONL file:
   campaign spec and its fingerprint;
 * every following line is one **run** record (``kind: "run"``) appended
   the moment the injection finishes, so a killed campaign loses at most
-  the in-flight chunk.
+  the in-flight record.
 
 Resuming re-opens the file, verifies the fingerprint against the spec
 being resumed (refusing to mix configurations), and skips every id that

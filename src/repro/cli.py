@@ -15,7 +15,8 @@ Commands
 
 ``campaign run [FILE]`` / ``campaign serve PATHS``
     Fault-injection campaigns: ``run`` executes (or resumes) one —
-    serially, over a worker pool, or sharded with ``--shards``; ``serve``
+    in-process, or on the sharded service with ``--workers N`` (N
+    shards unless ``--shards`` says otherwise); ``serve``
     tails campaign stores and aggregates live outcome counts and
     Wilson-CI detection matrices (``--watch`` to follow a campaign as
     it runs).  The bare historical spelling ``repro campaign <flags>``
@@ -397,9 +398,9 @@ def _campaign_options(args):
     """The one place CLI flags become an ExecutionOptions."""
     from repro.campaign import ExecutionOptions
 
-    return ExecutionOptions(workers=args.workers, chunk_size=args.chunk,
-                            fork=args.fork, batch=args.batch,
-                            shards=args.shards, store=args.store)
+    return ExecutionOptions(workers=args.workers, fork=args.fork,
+                            batch=args.batch, shards=args.shards,
+                            store=args.store)
 
 
 def _cmd_campaign(args):
@@ -1046,9 +1047,8 @@ def main(argv=None):
     campaign_parser.add_argument("--injections", type=int, default=200,
                                  help="number of injections in the space")
     campaign_parser.add_argument("--workers", type=int, default=1,
-                                 help="worker processes (>1 = parallel)")
-    campaign_parser.add_argument("--chunk", type=int, default=16,
-                                 help="injections per worker dispatch")
+                                 help="worker processes (>1 = sharded "
+                                      "service, one shard per worker)")
     campaign_parser.add_argument("--seed", type=int, default=99)
     campaign_parser.add_argument("--max-cycles", type=int, default=200_000,
                                  help="per-run cycle budget (hang timeout)")
@@ -1061,7 +1061,8 @@ def main(argv=None):
     campaign_parser.add_argument("--shards", type=int, default=0,
                                  help="split the campaign into N seed-range "
                                       "shards with work-stealing workers "
-                                      "and per-shard resumable stores")
+                                      "and per-shard resumable stores "
+                                      "(default: one per worker)")
     campaign_parser.add_argument("--fork", dest="fork", action="store_true",
                                  help="checkpoint each trigger prefix once "
                                       "and restore-and-strike per injection "

@@ -88,8 +88,12 @@ class RSE:
         self.selfcheck.observe_alloc(entry)
 
     def on_operands(self, uop, cycle, values):
-        """Regfile_Data: operand values read at issue."""
-        self.queues.regfile_data.push(cycle, (uop.seq, values))
+        """Regfile_Data: operand values read at issue.
+
+        Only the IOQ payload reads them, so nothing is latched; the
+        queue just counts the push for the snapshot.
+        """
+        self.queues.regfile_data.pushed_total += 1
         entry = self.ioq.get(uop.seq)
         if entry is not None:
             entry.payload = values
@@ -171,10 +175,6 @@ class RSE:
             else:
                 for module in enabled:
                     module.on_fetch(uop, cycle)
-
-        # Regfile_Data entries already annotated the IOQ at on_operands();
-        # draining keeps queue occupancy bounded and the stats meaningful.
-        self.queues.regfile_data.pop_ready(cycle)
 
         for seq, uop in self.queues.execute_out.pop_ready(cycle):
             for module in enabled:

@@ -79,7 +79,8 @@ class InputInterface:
         Section 3.1: "the RSE uses this information to flush the input
         queues ... no speculative state is maintained in the RSE modules."
         """
+        # Regfile_Data latches nothing (RSE.on_operands writes the IOQ
+        # payload directly); Commit_Out carries the squash notices.
         dead = set(seqs)
-        for queue in (self.fetch_out, self.regfile_data, self.execute_out,
-                      self.memory_out):
+        for queue in (self.fetch_out, self.execute_out, self.memory_out):
             queue.discard(lambda payload: payload[0] in dead)

@@ -89,8 +89,7 @@ def test_non_icm_models_classify_outcomes():
 def test_parallel_records_match_serial():
     spec = spec_for(injections=12)
     serial = run_campaign(spec, options=ExecutionOptions(workers=1))
-    parallel = run_campaign(
-        spec, options=ExecutionOptions(workers=2, chunk_size=3))
+    parallel = run_campaign(spec, options=ExecutionOptions(workers=2))
     assert serial.records == parallel.records
 
 
@@ -125,12 +124,26 @@ def test_resume_completes_interrupted_campaign(tmp_path):
         handle.writelines(lines[:6])
         handle.write('{"kind": "run", "id": 99, "torn')
 
+    part_copy = str(tmp_path / "part-copy.jsonl")
+    with open(part_path) as source, open(part_copy, "w") as handle:
+        handle.write(source.read())
+
     resumed = run_campaign(spec, options=ExecutionOptions(store=part_path))
     assert resumed.records == full.records
     assert resumed.summary() == full.summary()
     # The store now holds every record and resuming again runs nothing.
     again = run_campaign(spec, options=ExecutionOptions(store=part_path))
     assert again.records == full.records
+
+    # Any option combination may resume any store: the same partial
+    # serial store resumed on two workers ends byte-identical too.
+    from repro.campaign.service import shard_store_path
+
+    sharded = run_campaign(spec, options=ExecutionOptions(workers=2,
+                                                          store=part_copy))
+    assert sharded.records == full.records
+    assert open(part_copy, "rb").read() == open(full_path, "rb").read()
+    assert os.path.exists(shard_store_path(part_copy, 1))
 
 
 def test_resume_rejects_different_config(tmp_path):
@@ -268,8 +281,7 @@ def test_fork_parallel_matches_cold(tmp_path):
     cold = run_campaign(
         spec, options=ExecutionOptions(workers=1, fork=False))
     forked = run_campaign(
-        spec, options=ExecutionOptions(workers=2, chunk_size=3,
-                                       fork=True))
+        spec, options=ExecutionOptions(workers=2, fork=True))
     assert cold.records == forked.records
 
 

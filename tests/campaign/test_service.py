@@ -1,11 +1,13 @@
 """Sharded campaign service: planning, work stealing, crash recovery."""
 
 import os
+import time
 
 import pytest
 
 from repro.campaign import (CampaignSpec, DEMO_WORKLOAD, ExecutionOptions,
                             ResultStore, StoreMismatch, run_campaign)
+from repro.campaign import runner, service
 from repro.campaign.runner import CampaignContext
 from repro.campaign.service import (ImageEngine, ServiceError,
                                     build_campaign_image, merge_shards,
@@ -68,6 +70,61 @@ def test_sharded_records_match_serial_byte_identical(tmp_path):
                    for record in records)
 
 
+def test_workers_alone_shard_one_per_worker(tmp_path):
+    """--workers N with no --shards runs the service N ways."""
+    spec = spec_for(injections=6)
+    serial = run_campaign(spec)
+    store = str(tmp_path / "camp.jsonl")
+    run = run_campaign(spec, options=ExecutionOptions(workers=2,
+                                                      store=store))
+    assert run.records == serial.records
+    assert run.options.shards == 2
+    for shard_id in range(2):
+        header, __ = ResultStore(shard_store_path(store, shard_id)).verify(
+            spec.fingerprint())
+        assert header["shard"]["id"] == shard_id
+    assert not os.path.exists(shard_store_path(store, 2))
+
+
+def test_fork_holds_on_the_service(tmp_path, monkeypatch):
+    """fork=True reaches the service: strikes go through ForkEngine, and
+    the merged store is byte-identical to a serial cold one."""
+    spec = spec_for()
+    serial_path = str(tmp_path / "serial.jsonl")
+    run_campaign(spec, options=ExecutionOptions(fork=False,
+                                                store=serial_path))
+
+    strikes = []
+    real_strike = runner.ForkEngine.strike
+
+    def spy(engine, injection, trigger):
+        strikes.append(injection.id)
+        return real_strike(engine, injection, trigger)
+
+    # No worker rounds: the in-parent completion path runs every shard,
+    # so the spy sees each strike.
+    monkeypatch.setattr(service, "WORKER_ROUNDS", 0)
+    monkeypatch.setattr(runner.ForkEngine, "strike", spy)
+    sharded_path = str(tmp_path / "sharded.jsonl")
+    run_campaign(spec, options=ExecutionOptions(shards=2, fork=True,
+                                                store=sharded_path))
+    assert strikes
+    assert open(sharded_path, "rb").read() == \
+        open(serial_path, "rb").read()
+
+
+def test_drained_workers_exit_on_stop_marker(monkeypatch):
+    """Workers return on their stop marker instead of waiting out
+    STEAL_TIMEOUT on the drained queue."""
+    spec = spec_for(injections=4)
+    serial = run_campaign(spec)
+    monkeypatch.setattr(service, "STEAL_TIMEOUT", 30.0)
+    start = time.monotonic()
+    run = run_campaign(spec, options=ExecutionOptions(workers=2, shards=2))
+    assert time.monotonic() - start < 15.0
+    assert run.records == serial.records
+
+
 def test_sharded_without_store_uses_tempdir(tmp_path):
     spec = spec_for(injections=6)
     serial = run_campaign(spec)
@@ -115,6 +172,38 @@ def test_resume_from_truncated_shard_store(tmp_path):
                                                           store=store))
     assert resumed.records == full.records
     assert ResultStore(store).verify(spec.fingerprint())
+
+
+def test_resume_with_different_worker_count(tmp_path):
+    """A sharded run interrupted under --workers 2 resumes under
+    --workers 3: shard stores are re-planned, records stay identical."""
+    spec = spec_for(injections=9)
+    serial_path = str(tmp_path / "serial.jsonl")
+    run_campaign(spec, options=ExecutionOptions(store=serial_path))
+    store = str(tmp_path / "camp.jsonl")
+    run_campaign(spec, options=ExecutionOptions(workers=2, store=store))
+    # Interrupt: drop shard 1's last two records, lose the merged store.
+    shard1 = shard_store_path(store, 1)
+    lines = open(shard1).readlines()
+    with open(shard1, "w") as handle:
+        handle.writelines(lines[:-2])
+    os.remove(store)
+
+    progress = []
+    resumed = run_campaign(spec, options=ExecutionOptions(workers=3,
+                                                          store=store),
+                           progress=lambda done, total: progress.append(
+                               (done, total)))
+    assert open(store, "rb").read() == open(serial_path, "rb").read()
+    assert resumed.records == ResultStore(serial_path).load()[1]
+    assert progress[-1] == (9, 9)
+    for shard_id, start, stop in plan_shards(9, 3):
+        header, records = ResultStore(
+            shard_store_path(store, shard_id)).verify(spec.fingerprint())
+        assert header["shard"] == {"id": shard_id, "start": start,
+                                   "stop": stop}
+        assert sorted(record["id"] for record in records) == \
+            list(range(start, stop))
 
 
 def test_fully_covered_merged_store_short_circuits(tmp_path):

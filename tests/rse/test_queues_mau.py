@@ -52,7 +52,7 @@ def test_interface_squash_flushes_all_but_commit():
         queue.push(0, (7, "x"))
         queue.push(0, (8, "y"))
     interface.discard_squashed({7})
-    for name in ("fetch_out", "regfile_data", "execute_out", "memory_out"):
+    for name in ("fetch_out", "execute_out", "memory_out"):
         items = getattr(interface, name).pop_ready(10)
         assert [item[0] for item in items] == [8], name
     # Commit_Out keeps everything: squash notifications travel through it.
